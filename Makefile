@@ -62,5 +62,6 @@ bench-load:
 bench-pushdown:
 	$(GO) test -run '^TestEmitPushdownBenchJSON$$' -emit-bench -count 1 -timeout 30m .
 
-# Tier-1 gate: everything CI runs.
-check: build vet test race
+# Tier-1 gate: everything CI runs, including the bit-identical chaos
+# convergence that every aggregation refactor must keep.
+check: build vet test race chaos

@@ -3,6 +3,7 @@ package aggregate
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -39,11 +40,12 @@ import (
 // replicate's pushdown folder), so crash recovery needs no delta-level
 // positions.
 
-// accRow is one partially aggregated group: the same running state
-// mergeAggRow keeps in the aggregation table, held in memory while a
-// rebuild scans (and inside a Delta while it crosses the wire).
-// Measure slices are indexed by the realm's measureColumns order
-// (sums/mins/maxs/lasts by cols, wsums by weights).
+// accRow is one partially aggregated group: the running state of one
+// aggregation-table row (see aggDef), held in memory while a rebuild
+// scans, while an incremental batch merges into a stored row, and
+// inside a Delta while it crosses the wire. Measure slices are indexed
+// by the realm's measureColumns order (sums/mins/maxs/lasts by cols,
+// wsums by weights).
 type accRow struct {
 	periodKey int64
 	dims      []string
@@ -56,27 +58,44 @@ type accRow struct {
 	wsums     []float64
 }
 
-// newAccRow seeds a group's accumulator from its first fact. The
-// caller may reuse dims, vals and wvals; they are copied.
-func newAccRow(periodKey int64, dims []string, ts float64, vals, wvals []float64) *accRow {
+// makeAccRow allocates an empty accumulator for nmeas measure columns
+// and nweights weighted pairs.
+func makeAccRow(nmeas, nweights int) *accRow {
 	return &accRow{
-		periodKey: periodKey,
-		dims:      append([]string(nil), dims...),
-		n:         1,
-		lastTS:    ts,
-		sums:      append([]float64(nil), vals...),
-		mins:      append([]float64(nil), vals...),
-		maxs:      append([]float64(nil), vals...),
-		lasts:     append([]float64(nil), vals...),
-		wsums:     append([]float64(nil), wvals...),
+		sums:  make([]float64, nmeas),
+		mins:  make([]float64, nmeas),
+		maxs:  make([]float64, nmeas),
+		lasts: make([]float64, nmeas),
+		wsums: make([]float64, nweights),
 	}
 }
 
-// fold adds one fact to the accumulator with exactly the semantics of
-// mergeAggRow: counts and sums add, min/max compare, and last_* follow
-// the newest timestamp with ties won by the later fold. This is THE
-// fold; the rebuild scan, the incremental batch fold and the pushdown
-// delta folder all call it.
+// newAccRow seeds a group's accumulator from its first fact. The
+// caller may reuse dims, vals and wvals; they are copied.
+func newAccRow(periodKey int64, dims []string, ts float64, vals, wvals []float64) *accRow {
+	acc := makeAccRow(len(vals), len(wvals))
+	acc.periodKey = periodKey
+	acc.dims = append([]string(nil), dims...)
+	acc.seed(ts, vals, wvals)
+	return acc
+}
+
+// seed starts the accumulator's running state from a group's first
+// fact.
+func (acc *accRow) seed(ts float64, vals, wvals []float64) {
+	acc.n = 1
+	acc.lastTS = ts
+	copy(acc.sums, vals)
+	copy(acc.mins, vals)
+	copy(acc.maxs, vals)
+	copy(acc.lasts, vals)
+	copy(acc.wsums, wvals)
+}
+
+// fold adds one fact to the accumulator: counts and sums add, min/max
+// compare, and last_* follow the newest timestamp with ties won by the
+// later fold. This is THE fold; the rebuild scan, the incremental
+// batch merge and the pushdown delta folder all call it.
 func (acc *accRow) fold(ts float64, vals, wvals []float64) {
 	newer := ts >= acc.lastTS
 	acc.n++
@@ -97,6 +116,45 @@ func (acc *accRow) fold(ts float64, vals, wvals []float64) {
 	}
 	for i, w := range wvals {
 		acc.wsums[i] += w
+	}
+}
+
+// appendRow appends the accumulator as a positional aggregation-table
+// row in aggDef's column order: period_key, one value per dimension,
+// n, last_ts, sum/min/max/last per measure column, then one wsum per
+// weighted pair. It is the one positional rendering of an aggregation
+// row; buildAggColumns is its columnar twin and loadRow its inverse.
+func (acc *accRow) appendRow(buf []any) []any {
+	buf = slices.Grow(buf, 3+len(acc.dims)+4*len(acc.sums)+len(acc.wsums))
+	buf = append(buf, acc.periodKey)
+	for _, d := range acc.dims {
+		buf = append(buf, d)
+	}
+	buf = append(buf, acc.n, acc.lastTS)
+	for i := range acc.sums {
+		buf = append(buf, acc.sums[i], acc.mins[i], acc.maxs[i], acc.lasts[i])
+	}
+	for _, w := range acc.wsums {
+		buf = append(buf, w)
+	}
+	return buf
+}
+
+// loadRow reads a stored aggregation row's running state (n, last_ts
+// and the measure columns) into the accumulator, whose slices must
+// already be sized for the realm. The group identity (period key and
+// dimensions) is left to the caller.
+func (acc *accRow) loadRow(r warehouse.Row, names *aggColNames) {
+	acc.n = r.Int("n")
+	acc.lastTS = r.Float("last_ts")
+	for i := range acc.sums {
+		acc.sums[i] = r.Float(names.sums[i])
+		acc.mins[i] = r.Float(names.mins[i])
+		acc.maxs[i] = r.Float(names.maxs[i])
+		acc.lasts[i] = r.Float(names.lasts[i])
+	}
+	for i := range acc.wsums {
+		acc.wsums[i] = r.Float(names.wsums[i])
 	}
 }
 
@@ -163,6 +221,19 @@ func groupKey(buf []byte, periodKey int64, dims []string) []byte {
 	return b
 }
 
+// sortedKeys returns a group map's keys in sorted group-key order: the
+// one deterministic order in which bins are upserted, installed and
+// shipped, so replicas replaying the resulting binlog events and two
+// encodings of the same state stay bit-identical.
+func sortedKeys[V any](groups map[string]V) []string {
+	keys := make([]string, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // folder folds facts into a partial. The group key is rendered into a
 // reused byte buffer, so the per-fact map probe allocates nothing; the
 // key is only materialized as a string when a new group is created.
@@ -200,7 +271,7 @@ func (f *folder) trackDirty() {
 // fold folds one fact into every period's accumulator.
 // The caller may reuse dims, vals and wvals between calls.
 func (f *folder) fold(t time.Time, dims []string, vals, wvals []float64) {
-	ts := float64(t.UnixNano()) / 1e9
+	ts := factTS(t)
 	for i, period := range f.periods {
 		pk := period.Key(t)
 		b := groupKey(f.keyBuf, pk, dims)
@@ -342,11 +413,7 @@ func MergeDeltas(a, b Delta) (Delta, error) {
 		if groups == nil {
 			continue
 		}
-		keys := make([]string, 0, len(groups))
-		for k := range groups {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
+		keys := sortedKeys(groups)
 		bins := make([]Bin, 0, len(keys))
 		for _, k := range keys {
 			bins = append(bins, binOf(groups[k]))
@@ -417,8 +484,8 @@ type DeltaFolder struct {
 	rr            *rowReader
 	f             *folder
 	covered       uint64
-	resetPending  bool // next flush must carry Reset (fresh snapshot fold)
-	dims          []string
+	resetPending  bool     // next flush must carry Reset (fresh snapshot fold)
+	dims          []string // FoldRows decode buffers
 	vals, wvals   []float64
 }
 
@@ -482,33 +549,18 @@ func (df *DeltaFolder) Dirty() bool {
 // FoldRows folds positional fact rows (binlog insert payloads for the
 // realm's fact table, in arrival order) into the cumulative partial.
 // The rows must already reflect the route's filtering (the sender
-// folds the rewriter's output).
+// folds the rewriter's output). The whole batch is checked before any
+// row folds, so a rejected batch leaves the fold untouched.
 func (df *DeltaFolder) FoldRows(rows [][]any) error {
-	rr := df.rr
 	for _, row := range rows {
-		if len(row) != rr.ncols {
-			return fmt.Errorf("aggregate: pushdown fold into %s: row has %d values, table has %d columns",
-				df.info.Name, len(row), rr.ncols)
+		if _, err := df.rr.timeOf(row); err != nil {
+			return fmt.Errorf("aggregate: pushdown fold into %s: %w", df.info.Name, err)
 		}
-		t, ok := row[rr.timeIdx].(time.Time)
-		if !ok {
-			return fmt.Errorf("aggregate: pushdown fold into %s: time column %q is %T, want time.Time",
-				df.info.Name, rr.timeCol, row[rr.timeIdx])
-		}
-		for i, d := range rr.dims {
-			if !d.numeric {
-				df.dims[i] = cellString(row, d.idx)
-			} else if d.hasLevels {
-				df.dims[i] = d.levels(cellFloat(row, d.idx))
-			} else {
-				df.dims[i] = "all"
-			}
-		}
-		for i, mi := range rr.meas {
-			df.vals[i] = cellFloat(row, mi)
-		}
-		for i, wp := range rr.wpairs {
-			df.wvals[i] = cellFloat(row, wp[0]) * cellFloat(row, wp[1])
+	}
+	for _, row := range rows {
+		t, err := df.rr.decode(row, df.dims, df.vals, df.wvals)
+		if err != nil {
+			return fmt.Errorf("aggregate: pushdown fold into %s: %w", df.info.Name, err)
 		}
 		df.f.fold(t, df.dims, df.vals, df.wvals)
 	}
@@ -544,57 +596,16 @@ func (df *DeltaFolder) Reset(excludeResources map[string]bool, resourceColumn st
 	if resourceColumn == "" {
 		resourceColumn = "resource"
 	}
-	fresh := newFolder()
-	fresh.trackDirty()
-	n := 0
-	if td.NumRows() > 0 {
-		for chunk := 0; chunk < td.NumChunks(); chunk++ {
-			ch := td.Chunk(chunk)
-			if ch.Rows() == 0 {
-				continue
-			}
-			fr, err := df.e.newFactReader(df.info, ch, df.cols, df.weights)
-			if err != nil {
-				return 0, err
-			}
-			var res []string
-			if len(excludeResources) > 0 {
-				if ci, ok := ch.ColIndex(resourceColumn); ok {
-					res = ch.StringCol(ci)
-				}
-			}
-			dead := ch.Tombstones()
-			for pos := 0; pos < ch.Rows(); pos++ {
-				if dead[pos] {
-					continue
-				}
-				if res != nil && pos < len(res) && excludeResources[res[pos]] {
-					continue
-				}
-				t, err := fr.timeAt(pos)
-				if err != nil {
-					return 0, err
-				}
-				for i := range fr.dims {
-					df.dims[i] = fr.dims[i].value(pos)
-				}
-				for i := range fr.meas {
-					df.vals[i] = fr.meas[i].at(pos)
-				}
-				for i := range fr.wpairs {
-					df.wvals[i] = fr.wpairs[i][0].at(pos) * fr.wpairs[i][1].at(pos)
-				}
-				fresh.fold(t, df.dims, df.vals, df.wvals)
-				n++
-			}
-		}
+	folders := []*folder{newFolder()}
+	n, err := df.e.foldSnapshot(df.info, td, df.info.Schema, shardRouter{shards: 1, rdi: -1},
+		nil, resourceSkip{column: resourceColumn, exclude: excludeResources}, df.cols, df.weights, folders)
+	if err != nil {
+		return 0, err
 	}
-	// The dirty marks of the snapshot fold are irrelevant: the Reset
-	// flush ships every bin.
-	for i := range fresh.dirty {
-		fresh.dirty[i] = make(map[string]bool)
-	}
-	df.f = fresh
+	// Dirty tracking starts after the snapshot fold: the Reset flush
+	// ships every bin anyway.
+	folders[0].trackDirty()
+	df.f = folders[0]
 	df.covered = covered
 	df.resetPending = true
 	return n, nil
@@ -614,17 +625,10 @@ func (df *DeltaFolder) Flush() (Delta, bool) {
 		groups := df.f.groups[i]
 		var keys []string
 		if df.resetPending {
-			keys = make([]string, 0, len(groups))
-			for k := range groups {
-				keys = append(keys, k)
-			}
+			keys = sortedKeys(groups)
 		} else {
-			keys = make([]string, 0, len(df.f.dirty[i]))
-			for k := range df.f.dirty[i] {
-				keys = append(keys, k)
-			}
+			keys = sortedKeys(df.f.dirty[i])
 		}
-		sort.Strings(keys)
 		bins := make([]Bin, 0, len(keys))
 		for _, k := range keys {
 			if acc := groups[k]; acc != nil {

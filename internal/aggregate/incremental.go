@@ -2,9 +2,7 @@ package aggregate
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
-	"time"
+	"slices"
 
 	"xdmodfed/internal/realm"
 	"xdmodfed/internal/warehouse"
@@ -17,88 +15,6 @@ import (
 // add, min/max compare, last_* follow the newest timestamp), so the
 // fold commutes with a full rebuild — non-additive mutations (update,
 // delete, truncate) must fall back to Reaggregate instead.
-
-// rowReader resolves the positional layout of binlog fact rows against
-// the replicated table's definition — never hardcoded offsets, so a
-// satellite whose fact columns are ordered differently still folds
-// correctly. Cells read with Row.Float/Row.String semantics: integers
-// widen, absent or mistyped cells read as zero values.
-type rowReader struct {
-	ncols   int
-	timeCol string
-	timeIdx int
-	dims    []posDim
-	meas    []int
-	wpairs  [][2]int
-}
-
-type posDim struct {
-	idx       int
-	numeric   bool
-	levels    levelsFunc
-	hasLevels bool
-}
-
-// levelsFunc buckets a numeric dimension value.
-type levelsFunc func(float64) string
-
-func (e *Engine) newRowReader(info realm.Info, def warehouse.TableDef, cols, weights []string) (*rowReader, error) {
-	idx := make(map[string]int, len(def.Columns))
-	for i, c := range def.Columns {
-		idx[c.Name] = i
-	}
-	at := func(name string) int {
-		if i, ok := idx[name]; ok {
-			return i
-		}
-		return -1
-	}
-	rr := &rowReader{ncols: len(def.Columns), timeCol: info.TimeColumn, timeIdx: at(info.TimeColumn)}
-	if rr.timeIdx < 0 {
-		return nil, fmt.Errorf("aggregate: fact row missing time column %q", info.TimeColumn)
-	}
-	rr.dims = make([]posDim, len(info.Dimensions))
-	for i, d := range info.Dimensions {
-		pd := posDim{idx: at(d.Column), numeric: d.Numeric}
-		if d.Numeric {
-			if l, ok := e.levels[d.ID]; ok {
-				pd.levels, pd.hasLevels = l.BucketFor, true
-			}
-		}
-		rr.dims[i] = pd
-	}
-	rr.meas = make([]int, len(cols))
-	for i, c := range cols {
-		rr.meas[i] = at(c)
-	}
-	rr.wpairs = make([][2]int, len(weights))
-	for i, w := range weights {
-		a, b := splitPair(w)
-		rr.wpairs[i] = [2]int{at(a), at(b)}
-	}
-	return rr, nil
-}
-
-func cellFloat(row []any, idx int) float64 {
-	if idx < 0 {
-		return 0
-	}
-	switch v := row[idx].(type) {
-	case float64:
-		return v
-	case int64:
-		return float64(v)
-	}
-	return 0
-}
-
-func cellString(row []any, idx int) string {
-	if idx < 0 {
-		return ""
-	}
-	s, _ := row[idx].(string)
-	return s
-}
 
 // factEntry is one parsed fact's contribution, retained in arrival
 // order: the merge replays entries one at a time so floating-point
@@ -120,15 +36,15 @@ type groupFacts struct {
 
 // ApplyFactRows folds positional fact rows (binlog event payloads for
 // sourceSchema's fact table) into all period aggregation tables. The
-// batch is parsed, routed to shards and grouped with no lock held; one
+// batch is decoded, routed to shards and grouped with no lock held; one
 // shard-scoped write transaction per touched shard then updates each
 // affected aggregation row once — one GetByKey and one positional
 // upsert per group instead of per fact — while folding the group's
-// facts sequentially to keep float accumulation identical to the old
-// per-row path and to a full rebuild. Untouched shards keep their
-// epochs (and their cached charts). A row failing validation aborts
-// the fold before any table is touched; the caller must schedule a
-// full rebuild if it cannot tolerate the dropped batch.
+// facts sequentially to keep float accumulation identical to a full
+// rebuild. Untouched shards keep their epochs (and their cached
+// charts). A row failing validation aborts the fold before any table
+// is touched; the caller must schedule a full rebuild if it cannot
+// tolerate the dropped batch.
 func (e *Engine) ApplyFactRows(info realm.Info, sourceSchema string, rows [][]any) (int, error) {
 	if len(rows) == 0 {
 		return 0, nil
@@ -148,7 +64,7 @@ func (e *Engine) ApplyFactRows(info realm.Info, sourceSchema string, rows [][]an
 		return 0, fmt.Errorf("aggregate: incremental fold into %s: %w", info.Name, err)
 	}
 
-	// Phase 1, lock-free: parse the batch, route each fact to its shard
+	// Phase 1, lock-free: decode the batch, route each fact to its shard
 	// and group. Shard group maps allocate lazily — a batch from one
 	// satellite typically touches one shard (source-schema routing) or a
 	// few (resource routing).
@@ -157,59 +73,32 @@ func (e *Engine) ApplyFactRows(info realm.Info, sourceSchema string, rows [][]an
 	dims := make([]string, len(info.Dimensions))
 	var keyBuf []byte
 	for _, row := range rows {
-		if len(row) != rr.ncols {
-			return 0, fmt.Errorf("aggregate: incremental fold into %s: row has %d values, table has %d columns",
-				info.Name, len(row), rr.ncols)
+		entry := factEntry{vals: make([]float64, len(cols)), wvals: make([]float64, len(weights))}
+		t, err := rr.decode(row, dims, entry.vals, entry.wvals)
+		if err != nil {
+			return 0, fmt.Errorf("aggregate: incremental fold into %s: %w", info.Name, err)
 		}
-		t, ok := row[rr.timeIdx].(time.Time)
-		if !ok {
-			return 0, fmt.Errorf("aggregate: incremental fold into %s: time column %q is %T, want time.Time",
-				info.Name, rr.timeCol, row[rr.timeIdx])
-		}
-		for i, d := range rr.dims {
-			if !d.numeric {
-				dims[i] = cellString(row, d.idx)
-			} else if d.hasLevels {
-				dims[i] = d.levels(cellFloat(row, d.idx))
-			} else {
-				dims[i] = "all"
-			}
-		}
-		entry := factEntry{
-			ts:    float64(t.UnixNano()) / 1e9,
-			vals:  make([]float64, len(cols)),
-			wvals: make([]float64, len(weights)),
-		}
-		for i, mi := range rr.meas {
-			entry.vals[i] = cellFloat(row, mi)
-		}
-		for i, wp := range rr.wpairs {
-			entry.wvals[i] = cellFloat(row, wp[0]) * cellFloat(row, wp[1])
-		}
-		sg := groups[rt.shardOf(sourceSchema, dims)]
+		entry.ts = factTS(t)
+		k := rt.shardOf(sourceSchema, dims)
+		sg := groups[k]
 		if sg == nil {
 			sg = make([]map[string]*groupFacts, len(periods))
 			for i := range sg {
 				sg[i] = make(map[string]*groupFacts)
 			}
-			groups[rt.shardOf(sourceSchema, dims)] = sg
+			groups[k] = sg
 		}
 		var dimsCopy []string // shared by every period's group of this fact
 		for pi, period := range periods {
 			pk := period.Key(t)
-			b := strconv.AppendInt(keyBuf[:0], pk, 10)
-			for _, d := range dims {
-				b = append(b, 0)
-				b = append(b, d...)
-			}
-			keyBuf = b
-			g, ok := sg[pi][string(b)]
+			keyBuf = groupKey(keyBuf, pk, dims)
+			g, ok := sg[pi][string(keyBuf)]
 			if !ok {
 				if dimsCopy == nil {
 					dimsCopy = append([]string(nil), dims...)
 				}
 				g = &groupFacts{periodKey: pk, dims: dimsCopy}
-				sg[pi][string(b)] = g
+				sg[pi][string(keyBuf)] = g
 			}
 			g.entries = append(g.entries, entry)
 		}
@@ -225,7 +114,7 @@ func (e *Engine) ApplyFactRows(info realm.Info, sourceSchema string, rows [][]an
 		}
 		err = e.db.DoSchema(e.aggSchemaShard(info, k), func() error {
 			for pi, tg := range st[k] {
-				if err := mergeGroupsInto(tg.tab, info, cols, weights, names, sg[pi]); err != nil {
+				if err := mergeGroupsInto(tg.tab, len(cols), len(weights), names, sg[pi]); err != nil {
 					return err
 				}
 			}
@@ -239,9 +128,9 @@ func (e *Engine) ApplyFactRows(info realm.Info, sourceSchema string, rows [][]an
 	return len(rows), nil
 }
 
-// aggColNames pre-renders the aggregation-table column names the merge
-// reads from existing rows, so the per-group loop does no string
-// concatenation.
+// aggColNames pre-renders the aggregation-table column names read back
+// from stored rows (accRow.loadRow) and pagg chunks (paggReader), so
+// the per-group loops do no string concatenation.
 type aggColNames struct {
 	sums, mins, maxs, lasts, wsums []string
 }
@@ -261,85 +150,35 @@ func newAggColNames(cols, weights []string) *aggColNames {
 }
 
 // mergeGroupsInto combines one period's grouped batch entries with the
-// aggregation table's existing rows, writing each group positionally.
-// Must run under the DB write lock.
-func mergeGroupsInto(tab *warehouse.Table, info realm.Info, cols, weights []string,
-	names *aggColNames, groups map[string]*groupFacts) error {
-
+// aggregation table's existing rows: each group's stored row (if any)
+// loads into an accumulator, the group's facts fold in one at a time,
+// and the result is written back positionally. Must run under the DB
+// write lock.
+func mergeGroupsInto(tab *warehouse.Table, nmeas, nweights int, names *aggColNames, groups map[string]*groupFacts) error {
 	if len(groups) == 0 {
 		return nil
 	}
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys) // deterministic upsert (and binlog) order
-	nd := len(info.Dimensions)
-	key := make([]any, 1+nd)
-	buf := make([]any, 1+nd+2+4*len(cols)+len(weights))
-	acc := accRow{
-		sums:  make([]float64, len(cols)),
-		mins:  make([]float64, len(cols)),
-		maxs:  make([]float64, len(cols)),
-		lasts: make([]float64, len(cols)),
-		wsums: make([]float64, len(weights)),
-	}
-	for _, k := range keys {
+	var key, buf []any
+	acc := makeAccRow(nmeas, nweights)
+	for _, k := range sortedKeys(groups) {
 		g := groups[k]
-		key[0] = g.periodKey
-		for i, d := range g.dims {
-			key[1+i] = d
+		acc.periodKey, acc.dims = g.periodKey, g.dims
+		key = append(slices.Grow(key[:0], 1+len(g.dims)), g.periodKey)
+		for _, d := range g.dims {
+			key = append(key, d)
 		}
 		entries := g.entries
 		if existing, ok := tab.GetByKey(key...); ok {
-			acc.n = existing.Int("n")
-			acc.lastTS = existing.Float("last_ts")
-			for i := range cols {
-				acc.sums[i] = existing.Float(names.sums[i])
-				acc.mins[i] = existing.Float(names.mins[i])
-				acc.maxs[i] = existing.Float(names.maxs[i])
-				acc.lasts[i] = existing.Float(names.lasts[i])
-			}
-			for i := range weights {
-				acc.wsums[i] = existing.Float(names.wsums[i])
-			}
+			acc.loadRow(existing, names)
 		} else {
-			first := entries[0]
-			acc.n = 1
-			acc.lastTS = first.ts
-			copy(acc.sums, first.vals)
-			copy(acc.mins, first.vals)
-			copy(acc.maxs, first.vals)
-			copy(acc.lasts, first.vals)
-			copy(acc.wsums, first.wvals)
+			acc.seed(entries[0].ts, entries[0].vals, entries[0].wvals)
 			entries = entries[1:]
 		}
 		for _, e := range entries {
 			acc.fold(e.ts, e.vals, e.wvals)
 		}
-		ci := 0
-		buf[ci] = g.periodKey
-		ci++
-		for _, d := range g.dims {
-			buf[ci] = d
-			ci++
-		}
-		buf[ci] = acc.n
-		ci++
-		buf[ci] = acc.lastTS
-		ci++
-		for i := range cols {
-			buf[ci] = acc.sums[i]
-			buf[ci+1] = acc.mins[i]
-			buf[ci+2] = acc.maxs[i]
-			buf[ci+3] = acc.lasts[i]
-			ci += 4
-		}
-		for i := range weights {
-			buf[ci] = acc.wsums[i]
-			ci++
-		}
-		if err := tab.UpsertRow(buf[:ci]); err != nil {
+		buf = acc.appendRow(buf[:0])
+		if err := tab.UpsertRow(buf); err != nil {
 			return err
 		}
 	}

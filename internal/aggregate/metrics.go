@@ -14,7 +14,7 @@ var (
 	mRowsScanned = obs.Default.Counter("xdmodfed_query_rows_scanned_total",
 		"Aggregation-table rows scanned while answering chart queries.")
 	mFactsApplied = obs.Default.Counter("xdmodfed_aggregate_facts_total",
-		"Fact rows folded into aggregation tables.")
+		"Fact rows folded into aggregation tables by full rebuilds.")
 	mIncrementalFacts = obs.Default.Counter("xdmodfed_agg_incremental_facts_total",
 		"Fact rows folded incrementally (at replication-apply time) instead of by a full rebuild.")
 	mRebuilds = obs.Default.Counter("xdmodfed_agg_rebuilds_total",

@@ -110,43 +110,12 @@ func (e *Engine) ApplyDelta(info realm.Info, schema string, d Delta) ([]int, int
 			}
 			return nil
 		}
-		nd := len(info.Dimensions)
-		buf := make([]any, 1+nd+2+4*len(cols)+len(weights))
+		var buf []any
 		for _, period := range Periods() {
 			groups := p[period]
-			if len(groups) == 0 {
-				continue
-			}
-			keys := make([]string, 0, len(groups))
-			for k := range groups {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys) // deterministic upsert (and binlog) order
-			for _, k := range keys {
-				acc := groups[k]
-				ci := 0
-				buf[ci] = acc.periodKey
-				ci++
-				for _, dim := range acc.dims {
-					buf[ci] = dim
-					ci++
-				}
-				buf[ci] = acc.n
-				ci++
-				buf[ci] = acc.lastTS
-				ci++
-				for i := range cols {
-					buf[ci] = acc.sums[i]
-					buf[ci+1] = acc.mins[i]
-					buf[ci+2] = acc.maxs[i]
-					buf[ci+3] = acc.lasts[i]
-					ci += 4
-				}
-				for i := range weights {
-					buf[ci] = acc.wsums[i]
-					ci++
-				}
-				if err := tabs[period].UpsertRow(buf[:ci]); err != nil {
+			for _, k := range sortedKeys(groups) {
+				buf = groups[k].appendRow(buf[:0])
+				if err := tabs[period].UpsertRow(buf); err != nil {
 					return err
 				}
 				rows++
@@ -171,13 +140,6 @@ func (e *Engine) ApplyDelta(info realm.Info, schema string, d Delta) ([]int, int
 	mPushdownDeltaRows.With("applied").Add(uint64(rows))
 	mPushdownMergeSeconds.Add(time.Since(start).Seconds())
 	return shards, rows, nil
-}
-
-// Install merges the delta into an engine's warehouse: the hub-side
-// half of the pushdown pipeline (the satellite-side half is
-// DeltaFolder.Flush). See Engine.ApplyDelta.
-func (d Delta) Install(e *Engine, info realm.Info, schema string) ([]int, int, error) {
-	return e.ApplyDelta(info, schema, d)
 }
 
 // paggReader resolves one pagg-table chunk's columns. Layout errors
@@ -241,17 +203,11 @@ func newPaggReader(info realm.Info, ch warehouse.ColChunk, names *aggColNames) (
 // accAt reconstructs one stored bin as a fresh accumulator (fresh
 // slices: the rebuild's merge mutates accumulators in place).
 func (pr *paggReader) accAt(pos int) *accRow {
-	acc := &accRow{
-		periodKey: pr.pks[pos],
-		dims:      make([]string, len(pr.dims)),
-		n:         pr.ns[pos],
-		lastTS:    pr.lastTS.at(pos),
-		sums:      make([]float64, len(pr.sums)),
-		mins:      make([]float64, len(pr.mins)),
-		maxs:      make([]float64, len(pr.maxs)),
-		lasts:     make([]float64, len(pr.lasts)),
-		wsums:     make([]float64, len(pr.wsums)),
-	}
+	acc := makeAccRow(len(pr.sums), len(pr.wsums))
+	acc.periodKey = pr.pks[pos]
+	acc.dims = make([]string, len(pr.dims))
+	acc.n = pr.ns[pos]
+	acc.lastTS = pr.lastTS.at(pos)
 	for i := range pr.dims {
 		acc.dims[i] = pr.dims[i][pos]
 	}

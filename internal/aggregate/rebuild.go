@@ -3,13 +3,11 @@ package aggregate
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"xdmodfed/internal/config"
 	"xdmodfed/internal/realm"
 	"xdmodfed/internal/warehouse"
 )
@@ -27,189 +25,21 @@ import (
 // The fold state itself — accRow, partial, folder — lives in delta.go:
 // it is the same structure a pushdown Delta carries across the wire,
 // and sharing one implementation is what makes the pushdown ≡
-// fact-replication equivalence structural.
-
-// numCol reads one numeric column of a snapshot, widening integers the
-// way Row.Float does; absent or non-numeric columns read as zero, and
-// so do NULL cells.
-type numCol struct {
-	f     []float64
-	i     []int64
-	nulls []bool
-}
-
-func (c numCol) at(pos int) float64 {
-	if c.nulls != nil && c.nulls[pos] {
-		return 0
-	}
-	if c.f != nil {
-		return c.f[pos]
-	}
-	if c.i != nil {
-		return float64(c.i[pos])
-	}
-	return 0
-}
-
-func numColOf(ch warehouse.ColChunk, name string) numCol {
-	ci, ok := ch.ColIndex(name)
-	if !ok {
-		return numCol{}
-	}
-	return numCol{f: ch.FloatCol(ci), i: ch.IntCol(ci), nulls: ch.NullCol(ci)}
-}
-
-// dimReader renders one dimension's value from a snapshot position:
-// categorical dimensions read the raw string (empty when absent, NULL
-// or not a string column, like Row.String), numeric dimensions bin the
-// widened value into the configured aggregation level.
-type dimReader struct {
-	numeric   bool
-	strs      []string
-	nulls     []bool
-	num       numCol
-	levels    config.AggregationLevels
-	hasLevels bool
-}
-
-func (d *dimReader) value(pos int) string {
-	if !d.numeric {
-		if d.strs == nil || (d.nulls != nil && d.nulls[pos]) {
-			return ""
-		}
-		return d.strs[pos]
-	}
-	if d.hasLevels {
-		return d.levels.BucketFor(d.num.at(pos))
-	}
-	return "all"
-}
-
-// factReader resolves one fact-table chunk's columns for aggregation:
-// the time column, one reader per dimension, one numeric reader per
-// measure column and per weighted pair. Resolution happens once per
-// chunk; the per-row loop then touches only typed vectors at
-// chunk-local positions.
-type factReader struct {
-	timeCol string
-	times   []time.Time
-	tnulls  []bool
-	dims    []dimReader
-	meas    []numCol
-	wpairs  [][2]numCol
-}
-
-func (e *Engine) newFactReader(info realm.Info, ch warehouse.ColChunk, cols, weights []string) (*factReader, error) {
-	fr := &factReader{timeCol: info.TimeColumn}
-	ti, ok := ch.ColIndex(info.TimeColumn)
-	if !ok {
-		return nil, fmt.Errorf("aggregate: fact row missing time column %q", info.TimeColumn)
-	}
-	fr.times = ch.TimeCol(ti)
-	if fr.times == nil {
-		return nil, fmt.Errorf("aggregate: time column %q is not a time column, want time.Time", info.TimeColumn)
-	}
-	fr.tnulls = ch.NullCol(ti)
-	fr.dims = make([]dimReader, len(info.Dimensions))
-	for i, d := range info.Dimensions {
-		dr := dimReader{numeric: d.Numeric}
-		if d.Numeric {
-			dr.num = numColOf(ch, d.Column)
-			dr.levels, dr.hasLevels = e.levels[d.ID]
-		} else if ci, ok := ch.ColIndex(d.Column); ok {
-			dr.strs = ch.StringCol(ci)
-			dr.nulls = ch.NullCol(ci)
-		}
-		fr.dims[i] = dr
-	}
-	fr.meas = make([]numCol, len(cols))
-	for i, c := range cols {
-		fr.meas[i] = numColOf(ch, c)
-	}
-	fr.wpairs = make([][2]numCol, len(weights))
-	for i, w := range weights {
-		a, b := splitPair(w)
-		fr.wpairs[i] = [2]numCol{numColOf(ch, a), numColOf(ch, b)}
-	}
-	return fr, nil
-}
-
-// splitPair splits a "col*weight" pair name.
-func splitPair(pair string) (string, string) {
-	for i := 0; i < len(pair); i++ {
-		if pair[i] == '*' {
-			return pair[:i], pair[i+1:]
-		}
-	}
-	return pair, ""
-}
-
-// timeAt returns the fact time at pos; NULL is an error, as a row
-// without its time column cannot be bucketed.
-func (fr *factReader) timeAt(pos int) (time.Time, error) {
-	if fr.tnulls[pos] {
-		return time.Time{}, fmt.Errorf("aggregate: time column %q is <nil>, want time.Time", fr.timeCol)
-	}
-	return fr.times[pos], nil
-}
+// fact-replication equivalence structural. Facts decode through
+// decode.go's factReader, the decoder every snapshot scan shares.
 
 // scanPartials folds every live fact row of one snapshot into fresh
 // per-shard partials: out[k] holds the groups routing to shard k (nil
-// for shards the caller did not ask for — want nil means all). Runs
-// lock-free against the immutable snapshot, chunk by chunk: a cold
-// sealed segment is materialized only when the scan reaches it (and is
-// evictable again as soon as the scan moves on), so the scan's
-// resident footprint is one segment plus the backend's budget — never
-// the whole table.
+// for shards the caller did not ask for — want nil means all).
 func (e *Engine) scanPartials(info realm.Info, td *warehouse.TableData, sourceSchema string,
 	rt shardRouter, want []bool, cols, weights []string) ([]partial, int, error) {
 
 	folders := make([]*folder, rt.shards)
-	out := make([]partial, rt.shards)
-	n := 0
-	if td.NumRows() > 0 {
-		dims := make([]string, len(info.Dimensions))
-		vals := make([]float64, len(cols))
-		wvals := make([]float64, len(weights))
-		for chunk := 0; chunk < td.NumChunks(); chunk++ {
-			ch := td.Chunk(chunk)
-			if ch.Rows() == 0 {
-				continue
-			}
-			fr, err := e.newFactReader(info, ch, cols, weights)
-			if err != nil {
-				return nil, 0, err
-			}
-			dead := ch.Tombstones()
-			for pos := 0; pos < ch.Rows(); pos++ {
-				if dead[pos] {
-					continue
-				}
-				t, err := fr.timeAt(pos)
-				if err != nil {
-					return nil, 0, err
-				}
-				for i := range fr.dims {
-					dims[i] = fr.dims[i].value(pos)
-				}
-				k := rt.shardOf(sourceSchema, dims)
-				if want != nil && !want[k] {
-					continue
-				}
-				for i := range fr.meas {
-					vals[i] = fr.meas[i].at(pos)
-				}
-				for i := range fr.wpairs {
-					wvals[i] = fr.wpairs[i][0].at(pos) * fr.wpairs[i][1].at(pos)
-				}
-				if folders[k] == nil {
-					folders[k] = newFolder()
-				}
-				folders[k].fold(t, dims, vals, wvals)
-				n++
-			}
-		}
+	n, err := e.foldSnapshot(info, td, sourceSchema, rt, want, resourceSkip{}, cols, weights, folders)
+	if err != nil {
+		return nil, 0, err
 	}
+	out := make([]partial, rt.shards)
 	for k, f := range folders {
 		if f != nil {
 			out[k] = f.p // nil partials merge (and install) as empty
@@ -224,11 +54,7 @@ func (e *Engine) scanPartials(info realm.Info, td *warehouse.TableData, sourceSc
 // event end up bit-identical).
 func buildAggColumns(info realm.Info, p Period, cols, weights []string, groups map[string]*accRow) *warehouse.ColumnData {
 	def := aggDef(info, p)
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := sortedKeys(groups)
 	n := len(keys)
 	nd := len(info.Dimensions)
 	cd := &warehouse.ColumnData{Rows: n,
@@ -345,12 +171,12 @@ func (e *Engine) ReaggregateShardsFrom(info realm.Info, sources []Source, shards
 
 // reaggregate scans the source schemas with a work-stealing worker
 // pool, merges each shard's per-schema partials in source-schema
-// order (so floating-point accumulation associates exactly like the
-// sequential reference), and installs each shard independently under
-// its own schema's shard lock — there is no shared install lock, so
-// shard installs proceed in parallel with each other and with chart
-// queries against other shards. only selects the shards to rebuild
-// (nil = all).
+// order (so floating-point accumulation associates exactly like one
+// sequential scan over the schemas in that order), and installs each
+// shard independently under its own schema's shard lock — there is no
+// shared install lock, so shard installs proceed in parallel with each
+// other and with chart queries against other shards. only selects the
+// shards to rebuild (nil = all).
 func (e *Engine) reaggregate(info realm.Info, sources []Source, only []int) (int, error) {
 	st, err := e.shardTargets(info)
 	if err != nil {

@@ -48,7 +48,7 @@ func aggSnapshot(t *testing.T, db *warehouse.DB, info realm.Info) []string {
 // outlive the data they summarized).
 func TestTruncateBumpsEpoch(t *testing.T) {
 	db, eng, info := fixture(t, 10, 1)
-	if _, err := eng.AggregateSchema(info, jobs.SchemaName); err != nil {
+	if _, err := eng.Reaggregate(info, []string{jobs.SchemaName}); err != nil {
 		t.Fatal(err)
 	}
 	before := db.Epoch()

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"xdmodfed/internal/aggregate"
+	"xdmodfed/internal/config"
 	"xdmodfed/internal/realm"
 	"xdmodfed/internal/warehouse"
 )
@@ -27,10 +28,6 @@ import (
 //
 // A PushdownFolder is owned by exactly one Sender.Run goroutine; it is
 // not safe for concurrent use.
-
-// DefaultPushdownFlushInterval paces incremental delta flushes when
-// the configuration does not say otherwise.
-const DefaultPushdownFlushInterval = 2 * time.Second
 
 // pushRealm is one realm's pushdown state.
 type pushRealm struct {
@@ -56,13 +53,14 @@ type PushdownFolder struct {
 
 // NewPushdownFolder builds a folder for the given realms. Every realm
 // must be mergeable (aggregate.MergeableRealm); callers route
-// unmergeable realms to fact replication instead.
+// unmergeable realms to fact replication instead. A flushInterval <= 0
+// means config.DefaultPushdownFlushInterval.
 func NewPushdownFolder(eng *aggregate.Engine, infos []realm.Info, filter Filter, flushInterval time.Duration) (*PushdownFolder, error) {
 	if len(infos) == 0 {
 		return nil, fmt.Errorf("replicate: pushdown folder needs at least one realm")
 	}
 	if flushInterval <= 0 {
-		flushInterval = DefaultPushdownFlushInterval
+		flushInterval = config.DefaultPushdownFlushInterval
 	}
 	if filter.ResourceColumn == "" {
 		filter.ResourceColumn = "resource"
